@@ -16,9 +16,10 @@ The four seeded bugs:
 - ``dispatch-in-sz``    — the RPC daemon keeps running on a CPU-dead
   host: the server-side ``cpu_alive`` guard and the client-side
   suspended-server timeout are both dropped (``cpu-dead-dispatch``);
-- ``double-lend``       — the buffer database forgets the allocated
-  filter, so the controller grants buffers whose previous lease is
-  still live (``double-lend``);
+- ``double-lend``       — the buffer database's free index forgets the
+  allocated filter (``free_tier``, the query the allocation engine
+  reads) and ``assign`` its guard, so the controller grants buffers
+  whose previous lease is still live (``double-lend``);
 - ``no-dedup``          — the server's exactly-once dedup table goes
   blind (lookups miss, stores vanish), so a re-delivered
   ``dedup_required`` verb re-executes its handler
@@ -150,23 +151,24 @@ class DoubleLendMutant(Mutant):
         from repro.core.database import BufferDatabase
         from repro.core.protocol import BufferKind
 
-        def free_buffers(self, zombie_first=True):
-            free = list(self._buffers.values())  # bug: allocated included
-            if zombie_first:
-                free.sort(key=lambda b: (b.kind is not BufferKind.ZOMBIE,
-                                         b.buffer_id))
-            else:
-                free.sort(key=lambda b: b.buffer_id)
-            return free
+        def free_tier(self, zombie):
+            # bug: the free index is rebuilt from every record, allocated
+            # ones included — the query the allocation engine reads.
+            tier = {}
+            for b in sorted(self._buffers.values(),
+                            key=lambda b: b.buffer_id):
+                if (b.kind is BufferKind.ZOMBIE) is zombie:
+                    tier.setdefault(b.host, []).append(b.buffer_id)
+            return sorted(tier.items())
 
         def assign(self, buffer_id, user):
             descriptor = self._get(buffer_id)  # bug: no allocated guard
             updated = descriptor.with_user(user)
-            self._buffers[buffer_id] = updated
+            self._store(updated)
             self.journal.append(("assign", (buffer_id, user)))
             return updated
 
-        self._patch(BufferDatabase, "free_buffers", free_buffers)
+        self._patch(BufferDatabase, "free_tier", free_tier)
         self._patch(BufferDatabase, "assign", assign)
 
 

@@ -401,8 +401,7 @@ class GlobalMemoryController:
         to mark this rack dry in its federation directory.
         """
         mark = len(self.db.journal)
-        eligible = [b for b in self.db.free_buffers(zombie_first=True)
-                    if b.kind is BufferKind.ZOMBIE]
+        eligible = self.db.free_zombie_buffers()
         if not eligible or nb_buffers <= 0:
             raise AllocationError(
                 f"{self.node.name}: no free zombie buffer to lend to "
@@ -529,39 +528,37 @@ class GlobalMemoryController:
 
         Striping "minimizes the performance impact caused by a remote
         server failure".  Buffers served by the requesting host itself are
-        excluded (its local memory is not remote memory).
+        excluded (its local memory is not remote memory).  Reads the
+        database's free index, so the cost is the buffers picked plus the
+        hosts visited, not the size of the table.
         """
-        free = [b for b in self.db.free_buffers(zombie_first=True)
-                if b.host != user]
-        tiers: Dict[bool, Dict[str, List[BufferDescriptor]]] = {}
-        for descriptor in free:
-            is_zombie = descriptor.kind is BufferKind.ZOMBIE
-            tiers.setdefault(is_zombie, {}).setdefault(
-                descriptor.host, []
-            ).append(descriptor)
-        chosen: List[BufferDescriptor] = []
+        if nb <= 0:
+            return []
+        chosen: List[int] = []
         # Exhaust the zombie tier before touching any active buffer, and
         # round-robin across hosts within each tier (unless striping is
-        # disabled, in which case hosts are drained one at a time).
+        # disabled, in which case hosts are drained one at a time): rank r
+        # of every host, hosts in sorted order, before rank r + 1.
         for is_zombie in (True, False):
-            buckets = [tiers[is_zombie][host]
-                       for host in sorted(tiers.get(is_zombie, {}))]
+            buckets = [ids for host, ids in self.db.free_tier(is_zombie)
+                       if host != user]
             if not self.stripe:
-                for bucket in buckets:
-                    while bucket and len(chosen) < nb:
-                        chosen.append(bucket.pop(0))
-            while len(chosen) < nb and buckets:
-                for bucket in list(buckets):
-                    if not bucket:
-                        buckets.remove(bucket)
-                        continue
-                    chosen.append(bucket.pop(0))
+                for ids in buckets:
+                    chosen.extend(ids[:nb - len(chosen)])
                     if len(chosen) == nb:
                         break
-                buckets = [b for b in buckets if b]
+            else:
+                rank = 0
+                while len(chosen) < nb and buckets:
+                    for ids in buckets:
+                        chosen.append(ids[rank])
+                        if len(chosen) == nb:
+                            break
+                    rank += 1
+                    buckets = [ids for ids in buckets if len(ids) > rank]
             if len(chosen) == nb:
                 break
-        return chosen
+        return [self.db.get(bid) for bid in chosen]
 
     def _grow_pool_from_active(self, requesting_user: str) -> None:
         """Ask active servers to lend more memory (``AS_get_free_mem``)."""

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.protocol import BufferDescriptor, BufferKind, Method
 from repro.errors import BufferError_, ControllerError, FencingError, RpcError
 from repro.memory.buffers import BufferLease, RemotePageStore
-from repro.memory.frames import Frame, FrameAllocator
+from repro.memory.frames import FrameAllocator
 from repro.rdma.fabric import RdmaNode
 from repro.rdma.rpc import RpcClient, RpcServer
 from repro.units import DEFAULT_BUFF_SIZE, PAGE_SIZE
@@ -31,13 +31,17 @@ _buffer_ids = itertools.count(1)
 
 
 class _LentBuffer:
-    """Lender-side record of one buffer we are serving."""
+    """Lender-side record of one buffer we are serving.
+
+    ``mfns`` are the machine frame numbers backing the buffer, in the
+    order the allocator handed them out; reclaim frees them as-is.
+    """
 
     def __init__(self, descriptor: BufferDescriptor, rkey: int,
-                 frames: List[Frame]):
+                 mfns: List[int]):
         self.descriptor = descriptor
         self.rkey = rkey
-        self.frames = frames
+        self.mfns = mfns
 
 
 class RemoteMemoryManager:
@@ -133,7 +137,7 @@ class RemoteMemoryManager:
         budget = max_bytes if max_bytes is not None else float("inf")
         while (self.allocator.free_frames >= frames_per_buffer
                and budget >= self.buff_size):
-            frames = self.allocator.alloc_many(frames_per_buffer)
+            mfns = self.allocator.alloc_many(frames_per_buffer)
             mr = self.node.register_mr(self.buff_size)
             descriptor = BufferDescriptor(
                 buffer_id=next(_buffer_ids), host=self.host, offset=0,
@@ -141,7 +145,7 @@ class RemoteMemoryManager:
                 rkey=mr.rkey,
             )
             self._lent[descriptor.buffer_id] = _LentBuffer(
-                descriptor, mr.rkey, frames
+                descriptor, mr.rkey, mfns
             )
             descriptors.append(descriptor)
             budget -= self.buff_size
@@ -182,7 +186,7 @@ class RemoteMemoryManager:
             if lent is None:
                 continue  # never ours, or already reclaimed
             self.node.deregister_mr(lent.rkey)
-            self.allocator.free_many(lent.frames)
+            self.allocator.free_many(lent.mfns)
             recovered += lent.descriptor.size_bytes
         return recovered
 
@@ -196,7 +200,7 @@ class RemoteMemoryManager:
         dropped = len(self._lent)
         for lent in self._lent.values():
             self.node.deregister_mr(lent.rkey)
-            self.allocator.free_many(lent.frames)
+            self.allocator.free_many(lent.mfns)
         self._lent.clear()
         return dropped
 
@@ -214,7 +218,7 @@ class RemoteMemoryManager:
                     f"{buffer_id}"
                 )
             self.node.deregister_mr(lent.rkey)
-            self.allocator.free_many(lent.frames)
+            self.allocator.free_many(lent.mfns)
             recovered += lent.descriptor.size_bytes
         return recovered
 

@@ -9,7 +9,7 @@ more memory).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -162,8 +162,13 @@ class BufferDescriptor:
     def allocated(self) -> bool:
         return self.user is not None
 
+    # The copies call the constructor directly (``__post_init__`` still
+    # runs): ``dataclasses.replace`` re-reads every field by name, and
+    # these two sit on every assign/unassign/set_kind, primary and standby.
     def with_user(self, user: Optional[str]) -> "BufferDescriptor":
-        return replace(self, user=user)
+        return BufferDescriptor(self.buffer_id, self.host, self.offset,
+                                self.size_bytes, self.kind, self.rkey, user)
 
     def with_kind(self, kind: BufferKind) -> "BufferDescriptor":
-        return replace(self, kind=kind)
+        return BufferDescriptor(self.buffer_id, self.host, self.offset,
+                                self.size_bytes, kind, self.rkey, self.user)

@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigurationError, HypervisorError, SwapError
 from repro.memory.buffers import RemotePageStore
-from repro.memory.frames import FrameAllocator
+from repro.memory.frames import Frame, FrameAllocator
 from repro.memory.page_table import PageLocation
 from repro.memory.replacement import make_policy
 from repro.hypervisor.vm import Vm, VmSpec, VmState
@@ -181,9 +181,9 @@ class Hypervisor:
                 f"{self.host}: {resident} frames needed for migrated VM "
                 f"{vm.name!r}, only {self.allocator.free_frames} free"
             )
-        frames = self.allocator.alloc_many(resident)
-        for entry, frame in zip(vm.table.resident(), frames):
-            entry.frame = frame
+        mfns = self.allocator.alloc_many(resident)
+        for entry, mfn in zip(vm.table.resident(), mfns):
+            entry.frame = Frame(mfn)
         vm.local_frames_used = resident
         self.vms[vm.name] = vm
         self._stores[vm.name] = store

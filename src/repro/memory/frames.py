@@ -62,8 +62,13 @@ class FrameAllocator:
             return None
         return self.alloc()
 
-    def alloc_many(self, count: int) -> List[Frame]:
-        """Allocate ``count`` frames at once (buffer carving fast path)."""
+    def alloc_many(self, count: int) -> List[int]:
+        """Allocate ``count`` frames at once (buffer carving fast path).
+
+        Returns the machine frame numbers as plain ints: a lent buffer
+        only needs its mfns back at reclaim time, so no :class:`Frame`
+        objects are built per page.
+        """
         if count < 0:
             raise ConfigurationError(f"negative count {count}")
         if count > len(self._free):
@@ -75,18 +80,24 @@ class FrameAllocator:
         taken = self._free[-count:]
         del self._free[-count:]
         self._allocated.update(taken)
-        return [Frame(mfn) for mfn in taken]
+        return taken
 
-    def free_many(self, frames: List[Frame]) -> None:
-        """Return many frames at once."""
-        for frame in frames:
-            if frame.mfn not in self._allocated:
-                raise PageTableError(
-                    f"freeing frame {frame.mfn} that is not allocated"
-                )
-        for frame in frames:
-            self._allocated.remove(frame.mfn)
-            self._free.append(frame.mfn)
+    def free_many(self, mfns: List[int]) -> None:
+        """Return many frames (by mfn) at once; all-or-nothing.
+
+        A stray (unallocated) or repeated mfn raises before anything is
+        freed.
+        """
+        unique = set(mfns)
+        if not self._allocated.issuperset(unique):
+            stray = min(unique - self._allocated)
+            raise PageTableError(
+                f"freeing frame {stray} that is not allocated"
+            )
+        if len(unique) != len(mfns):
+            raise PageTableError("freeing the same frame twice in one call")
+        self._allocated.difference_update(unique)
+        self._free.extend(mfns)
 
     def free(self, frame: Frame) -> None:
         """Return a frame to the pool; double-free raises."""

@@ -72,11 +72,16 @@ class TestCounterexampleReplay:
 class TestMutantPatching:
     def test_install_uninstall_restores_originals(self):
         from repro.core.database import BufferDatabase
-        original = BufferDatabase.free_buffers
+        # double-lend patches the free-index query the allocation engine
+        # (_pick_free) reads, plus assign's availability guard.
+        originals = {name: getattr(BufferDatabase, name)
+                     for name in ("free_tier", "assign")}
         bug = make_mutant("double-lend")
         with bug:
-            assert BufferDatabase.free_buffers is not original
-        assert BufferDatabase.free_buffers is original
+            for name, original in originals.items():
+                assert getattr(BufferDatabase, name) is not original
+        for name, original in originals.items():
+            assert getattr(BufferDatabase, name) is original
 
     def test_double_install_raises(self):
         bug = make_mutant("dispatch-in-sz")

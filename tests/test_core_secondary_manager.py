@@ -237,6 +237,78 @@ class TestMirrorCatchUp:
         assert sec.zombie_hosts == ctr.zombie_hosts
 
 
+def _add_manager(fabric, controller, name, pages=4 * BUFF_PAGES):
+    node = fabric.add_node(name)
+    manager = RemoteMemoryManager(name, node, FrameAllocator(pages),
+                                  buff_size=BUFF)
+    manager.attach_controller(RpcClient(node, controller.rpc))
+    controller.attach_agent(name, RpcClient(controller.node, manager.rpc))
+    return manager
+
+
+def _assert_same_picks(primary, promoted, users):
+    """Every allocation the primary would make, the promoted one makes."""
+    assert primary.db.free_tier(True) == promoted.db.free_tier(True)
+    assert primary.db.free_tier(False) == promoted.db.free_tier(False)
+    free = len(primary.db.free_buffers())
+    assert free > 1
+    for stripe in (True, False):
+        primary.stripe = promoted.stripe = stripe
+        for user in users:
+            for nb in range(free + 2):
+                assert promoted._pick_free(user, nb) == \
+                    primary._pick_free(user, nb), (stripe, user, nb)
+
+
+class TestStandbyPickParity:
+    """A promoted secondary allocates exactly as the primary would have:
+    its free index is maintained by mirrored ``apply`` and rebuilt by
+    ``load_snapshot``, never copied."""
+
+    USERS = ("user", "lender", "lender2", "lender3", "outsider")
+
+    def _churn(self, ctr, mgrs):
+        mgrs["lender"].delegate_for_zombie()
+        mgrs["lender2"].delegate_for_zombie()
+        kept = mgrs["user"].request_ext(3 * BUFF)
+        # Outgrows the zombie pool: active lender3 is asked to lend.
+        dropped = mgrs["user"].request_ext(6 * BUFF)
+        mgrs["user"].release_store(dropped)
+        assert ctr.db.free_tier(True) and ctr.db.free_tier(False)
+        return kept
+
+    def test_parity_after_mirror_catch_up(self):
+        engine, fabric, ctr, sec, mgrs = _wired()
+        for name in ("lender2", "lender3"):
+            mgrs[name] = _add_manager(fabric, ctr, name)
+        fabric.partition("sec")
+        self._churn(ctr, mgrs)
+        assert ctr.mirror_lag > 0
+        fabric.heal("sec")
+        engine.run(until=1.5)
+        assert ctr.mirror_lag == 0
+        promoted = sec.promote(BUFF)
+        _assert_same_picks(ctr, promoted, self.USERS)
+
+    def test_parity_after_snapshot_bootstrap(self):
+        _, fabric, ctr, _, mgrs = _wired()
+        for name in ("lender2", "lender3"):
+            mgrs[name] = _add_manager(fabric, ctr, name)
+        kept = self._churn(ctr, mgrs)
+        # A fresh standby bootstrapped from a full-state snapshot, then
+        # kept current by the mirror stream.
+        fresh = SecondaryController(fabric.add_node("sec2"), Engine())
+        fresh.db.load_snapshot(ctr.db.snapshot())
+        fresh.zombie_hosts = set(ctr.zombie_hosts)
+        fresh.known_hosts = set(ctr.known_hosts)
+        ctr.mirror = fresh.mirror_fn()
+        mgrs["user"].release_store(kept)
+        mgrs["user"].request_ext(BUFF)
+        mgrs["lender2"].reclaim(1)
+        promoted = fresh.promote(BUFF)
+        _assert_same_picks(ctr, promoted, self.USERS)
+
+
 class TestFencingEpochs:
     def test_stale_mirror_op_rejected(self):
         _, _, _, sec, _ = _wired()

@@ -47,26 +47,67 @@ class TestFrameAllocator:
 
     def test_alloc_many(self):
         alloc = FrameAllocator(10)
-        frames = alloc.alloc_many(7)
-        assert len(frames) == 7
+        mfns = alloc.alloc_many(7)
+        assert mfns == [6, 5, 4, 3, 2, 1, 0]
+        assert all(type(mfn) is int for mfn in mfns)
         assert alloc.free_frames == 3
-        alloc.free_many(frames)
+        assert alloc.used_frames == 7
+        alloc.free_many(mfns)
         assert alloc.free_frames == 10
+        assert alloc.used_frames == 0
 
     def test_alloc_many_over_capacity(self):
+        alloc = FrameAllocator(3)
         with pytest.raises(OutOfFramesError):
-            FrameAllocator(3).alloc_many(4)
+            alloc.alloc_many(4)
+        assert alloc.free_frames == 3
 
     def test_alloc_many_zero(self):
         assert FrameAllocator(3).alloc_many(0) == []
 
+    def test_alloc_many_negative_rejected(self):
+        with pytest.raises(ConfigurationError):
+            FrameAllocator(3).alloc_many(-1)
+
     def test_free_many_all_or_nothing(self):
         alloc = FrameAllocator(4)
-        frames = alloc.alloc_many(2)
+        mfns = alloc.alloc_many(2)
         with pytest.raises(PageTableError):
-            alloc.free_many(frames + [Frame(99)])
+            alloc.free_many(mfns + [99])
         # nothing was freed by the failing call
         assert alloc.free_frames == 2
+        assert all(alloc.is_allocated(Frame(mfn)) for mfn in mfns)
+
+    def test_free_many_duplicate_all_or_nothing(self):
+        alloc = FrameAllocator(4)
+        mfns = alloc.alloc_many(2)
+        with pytest.raises(PageTableError):
+            alloc.free_many(mfns + [mfns[0]])
+        assert alloc.free_frames == 2
+        assert all(alloc.is_allocated(Frame(mfn)) for mfn in mfns)
+        alloc.free_many(mfns)
+        assert alloc.free_frames == 4
+
+    def test_free_many_already_freed_rejected(self):
+        alloc = FrameAllocator(4)
+        mfns = alloc.alloc_many(2)
+        alloc.free(Frame(mfns[0]))
+        with pytest.raises(PageTableError):
+            alloc.free_many(mfns)
+        assert alloc.free_frames == 3
+
+    def test_carve_free_carve_round_trip(self):
+        # Freeing a carved buffer restores the free list exactly, so the
+        # next carve and the next single alloc repeat the first ones:
+        # lowest-first determinism survives a carve/reclaim cycle.
+        alloc = FrameAllocator(16)
+        first = alloc.alloc_many(4)
+        first_single = alloc.alloc()
+        alloc.free(first_single)
+        alloc.free_many(first)
+        assert alloc.alloc_many(4) == first
+        assert alloc.alloc() == first_single
+        assert first_single.mfn == 4
 
     def test_negative_size_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -197,3 +238,30 @@ class TestAccessedBits:
         table.demote(2, remote_slot=0)
         assert sorted(e.ppn for e in table.resident()) == [0, 1, 3]
         assert table.known_pages() == 4
+
+
+class TestAdoptVmFrames:
+    def test_adopt_vm_maps_frame_objects_onto_resident_pages(self):
+        from repro.hypervisor.kvm import Hypervisor
+        from repro.hypervisor.vm import VmSpec
+        from repro.units import PAGE_SIZE
+
+        source = Hypervisor("src", FrameAllocator(64))
+        vm = source.create_vm(VmSpec("v", 8 * PAGE_SIZE), 8 * PAGE_SIZE)
+        for ppn in range(5):
+            source.access(vm, ppn, write=True)
+        vm, store, stats, contents = source.release_vm("v")
+        assert source.allocator.used_frames == 0
+
+        target = Hypervisor("dst", FrameAllocator(16))
+        held = target.allocator.alloc()  # mfn 0 is taken first
+        target.adopt_vm(vm, store, stats, contents)
+        resident = list(vm.table.resident())
+        assert len(resident) == 5 == vm.local_frames_used
+        assert all(isinstance(e.frame, Frame) for e in resident)
+        assert sorted(e.frame.mfn for e in resident) == [1, 2, 3, 4, 5]
+        assert all(target.allocator.is_allocated(e.frame) for e in resident)
+        assert target.allocator.used_frames == 6
+        target.destroy_vm("v")
+        assert target.allocator.used_frames == 1
+        assert target.allocator.is_allocated(held)
